@@ -19,10 +19,14 @@
 //!   Buffering remains available ([`StudyBuilder::buffer_metrics`]) for
 //!   consumers that need the raw rows.
 //!
-//! Work is split into fixed 64-schedule chunks, each seeded as
-//! `derive_seed(seed, index)`; workers steal chunks but deliver them in
-//! index order, so every accumulator state — and therefore every streamed
-//! matrix — is bit-identical for any thread count.
+//! The random schedules and the heuristics run in one parallel section.
+//! Its work index hands out the random schedules one at a time, then each
+//! heuristic (scheduling plus evaluation), so the workers finish close
+//! together. Each random schedule is seeded as `derive_seed(seed, index)`
+//! from its own sampling index, whichever worker draws it, and rows are
+//! released to the accumulators strictly in index order. That in-order
+//! delivery is what makes every accumulator state, and therefore every
+//! streamed matrix, bit-identical for any thread count.
 //!
 //! [`run_case`] survives as a thin deprecated shim over the builder: it
 //! buffers every row and computes the two-pass [`pearson_matrix`], which
@@ -39,7 +43,7 @@ use robusched_stochastic::{ClassicEvaluator, EvalContext, Evaluator};
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Renders a panic payload (the `Box<dyn Any>` from `catch_unwind`) as
 /// text: `&str` and `String` payloads verbatim, anything else opaquely.
@@ -199,9 +203,6 @@ impl StudyResult {
         self.reservoir.spearman_matrix(&METRIC_LABELS)
     }
 }
-
-/// Schedules per work chunk (fixed for thread-count determinism).
-const CHUNK: usize = 64;
 
 /// Default [`RankReservoir`] capacity: covers the paper's 10 000-schedule
 /// cases' Spearman needs with a 2 000-row margin over its n = 100 tier.
@@ -372,8 +373,9 @@ impl<'a> StudyBuilder<'a> {
                 compute_metrics(scenario, schedule, &rv, &self.metric_opts)
             };
 
-        // ---- Random schedules: parallel chunk computation, in-order
-        // delivery into the accumulators. ----
+        // ---- One parallel section: the random schedules one by one, then
+        // the heuristics (a scheduling run plus an evaluation each); random
+        // rows are delivered to the accumulators in sampling order. ----
         let k = METRIC_LABELS.len();
         let mut delivery = Delivery {
             next: 0,
@@ -385,10 +387,12 @@ impl<'a> StudyBuilder<'a> {
                 .then(|| Vec::with_capacity(self.random_schedules)),
             sink: self.sink,
         };
+        let heuristic_rows: Vec<OnceLock<Result<MetricValues, ScheduleError>>> =
+            heuristics.iter().map(|_| OnceLock::new()).collect();
         let first_panic = Mutex::new(None::<String>);
         {
-            let n_chunks = self.random_schedules.div_ceil(CHUNK);
-            let next_chunk = AtomicUsize::new(0);
+            let n_items = heuristics.len() + self.random_schedules;
+            let next_item = AtomicUsize::new(0);
             let abort = AtomicBool::new(false);
             let delivery = Mutex::new(&mut delivery);
             let threads = self
@@ -399,44 +403,49 @@ impl<'a> StudyBuilder<'a> {
                         .unwrap_or(1)
                 })
                 .max(1);
+            // Work item `item`: random schedule `item` while
+            // `item < random_schedules`, else a heuristic.
+            let run_item = |cx: &mut EvalContext, item: usize| {
+                if let Some(k) = item.checked_sub(self.random_schedules) {
+                    let row = heuristics[k]
+                        .schedule(scenario)
+                        .map(|sched| eval_one(cx, &sched));
+                    let _ = heuristic_rows[k].set(row);
+                    return;
+                }
+                let sched =
+                    random_schedule(&scenario.graph.dag, m, derive_seed(self.seed, item as u64));
+                let row = eval_one(cx, &sched);
+                delivery
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .deliver(item, row);
+            };
             thread::scope(|scope| {
+                let mut workers = Vec::with_capacity(threads);
                 for _ in 0..threads {
-                    scope.spawn(|_| {
+                    workers.push(scope.spawn(|_| {
                         // One context per worker: the shared prep is an Arc
                         // clone, the scratch buffers warm up on the first
-                        // schedule and are reused for every one after.
+                        // item and are reused for every one after.
                         let mut cx = EvalContext::new(prep.clone());
                         loop {
                             if abort.load(Ordering::Relaxed) {
                                 break;
                             }
-                            let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-                            if c >= n_chunks {
+                            let item = next_item.fetch_add(1, Ordering::Relaxed);
+                            if item >= n_items {
                                 break;
                             }
-                            let lo = c * CHUNK;
-                            let hi = (lo + CHUNK).min(self.random_schedules);
-                            // A panic anywhere in the chunk (evaluator, metric
-                            // computation, accumulator delivery) must not
-                            // unwind through the scope: the first one is
-                            // captured as a `StudyError`, siblings drain via
-                            // the abort flag, and the delivery lock stays
-                            // usable even if it was poisoned mid-`deliver`.
+                            // A panic anywhere in the item (heuristic,
+                            // evaluator, metric computation, accumulator
+                            // delivery) must not unwind through the scope:
+                            // the first one is captured as a `StudyError`,
+                            // siblings drain via the abort flag, and the
+                            // delivery lock stays usable even if it was
+                            // poisoned mid-`deliver`.
                             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                let rows: Vec<MetricValues> = (lo..hi)
-                                    .map(|idx| {
-                                        let sched = random_schedule(
-                                            &scenario.graph.dag,
-                                            m,
-                                            derive_seed(self.seed, idx as u64),
-                                        );
-                                        eval_one(&mut cx, &sched)
-                                    })
-                                    .collect();
-                                delivery
-                                    .lock()
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                    .deliver(c, lo, rows);
+                                run_item(&mut cx, item)
                             }));
                             if let Err(payload) = outcome {
                                 abort.store(true, Ordering::Relaxed);
@@ -449,7 +458,15 @@ impl<'a> StudyBuilder<'a> {
                                 break;
                             }
                         }
-                    });
+                    }));
+                }
+                // Join explicitly: the scope's own join returns once the
+                // closures finish, while the threads may still be exiting
+                // and holding their allocator arenas. A study started right
+                // after would then spawn threads that cannot reuse those
+                // arenas, and the heap would grow by a whole scenario cache.
+                for worker in workers {
+                    worker.join().expect("study workers catch their panics");
                 }
             })
             .expect("study workers no longer unwind");
@@ -461,19 +478,18 @@ impl<'a> StudyBuilder<'a> {
         {
             return Err(StudyError::WorkerPanic(msg));
         }
+        // Every item ran; a heuristic's error fails the study, the first in
+        // request order winning, as if the heuristics had run in sequence.
+        let mut rows = Vec::with_capacity(heuristics.len());
+        for (h, row) in heuristics.iter().zip(heuristic_rows) {
+            let row = row.into_inner().expect("every work item ran");
+            rows.push((h.name().to_string(), row?));
+        }
         debug_assert!(delivery.pending.is_empty());
         debug_assert_eq!(delivery.moments.count(), self.random_schedules);
 
-        // ---- Heuristics. ----
-        let mut cx = EvalContext::new(prep.clone());
-        let mut heuristic_rows = Vec::with_capacity(heuristics.len());
-        for h in &heuristics {
-            let sched = h.schedule(scenario)?;
-            heuristic_rows.push((h.name().to_string(), eval_one(&mut cx, &sched)));
-        }
-
         Ok(StudyResult {
-            heuristics: heuristic_rows,
+            heuristics: rows,
             moments: delivery.moments,
             reservoir: delivery.reservoir,
             random: delivery.buffer,
@@ -481,13 +497,13 @@ impl<'a> StudyBuilder<'a> {
     }
 }
 
-/// In-order delivery state: workers hand in finished chunks; chunks are
-/// released to the accumulators strictly by index, so accumulator states
-/// never depend on worker scheduling. Out-of-order chunks wait in
+/// In-order delivery state: workers hand in finished rows; rows are
+/// released to the accumulators strictly by sampling index, so accumulator
+/// states never depend on worker scheduling. Out-of-order rows wait in
 /// `pending` (bounded by worker-count in practice).
 struct Delivery<'s> {
     next: usize,
-    pending: BTreeMap<usize, (usize, Vec<MetricValues>)>,
+    pending: BTreeMap<usize, MetricValues>,
     moments: StreamingMoments,
     reservoir: RankReservoir,
     buffer: Option<Vec<MetricValues>>,
@@ -495,20 +511,17 @@ struct Delivery<'s> {
 }
 
 impl Delivery<'_> {
-    fn deliver(&mut self, chunk: usize, first_index: usize, rows: Vec<MetricValues>) {
-        self.pending.insert(chunk, (first_index, rows));
-        while let Some(entry) = self.pending.remove(&self.next) {
-            let (first, rows) = entry;
-            for (off, values) in rows.into_iter().enumerate() {
-                let oriented = values.oriented_vector();
-                self.moments.push(&oriented);
-                self.reservoir.push(&oriented);
-                if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.record(first + off, &values);
-                }
-                if let Some(buf) = &mut self.buffer {
-                    buf.push(values);
-                }
+    fn deliver(&mut self, index: usize, values: MetricValues) {
+        self.pending.insert(index, values);
+        while let Some(values) = self.pending.remove(&self.next) {
+            let oriented = values.oriented_vector();
+            self.moments.push(&oriented);
+            self.reservoir.push(&oriented);
+            if let Some(sink) = self.sink.as_deref_mut() {
+                sink.record(self.next, &values);
+            }
+            if let Some(buf) = &mut self.buffer {
+                buf.push(values);
             }
             self.next += 1;
         }
@@ -743,22 +756,42 @@ mod tests {
     #[test]
     fn streamed_moments_identical_across_thread_counts() {
         let scenario = Scenario::paper_random(10, 3, 1.1, 7);
-        let run_with = |threads: usize| {
-            StudyBuilder::new(&scenario)
-                .random_schedules(130)
-                .seed(3)
-                .threads(threads)
-                .run()
-                .unwrap()
-        };
-        let a = run_with(1);
-        let b = run_with(4);
-        let (pa, pb) = (a.pearson_streamed(), b.pearson_streamed());
-        let (sa, sb) = (a.spearman_streamed(), b.spearman_streamed());
-        for i in 0..pa.dim() {
-            for j in 0..pa.dim() {
-                assert_eq!(pa.get(i, j), pb.get(i, j), "Pearson cell ({i},{j})");
-                assert_eq!(sa.get(i, j), sb.get(i, j), "Spearman cell ({i},{j})");
+        // 37 is prime, so no thread count divides the work evenly.
+        for count in [130, 37] {
+            let run_with = |threads: usize| {
+                StudyBuilder::new(&scenario)
+                    .random_schedules(count)
+                    .seed(3)
+                    .threads(threads)
+                    .heuristics(&["HEFT", "BIL", "Hyb.BMCT"])
+                    .run()
+                    .unwrap()
+            };
+            let a = run_with(1);
+            let (pa, sa) = (a.pearson_streamed(), a.spearman_streamed());
+            for threads in [2, 3, 4] {
+                let b = run_with(threads);
+                assert_eq!(b.random_count(), count);
+                let (pb, sb) = (b.pearson_streamed(), b.spearman_streamed());
+                for i in 0..pa.dim() {
+                    for j in 0..pa.dim() {
+                        let cell = format!("({i},{j}), {count} schedules, {threads} threads");
+                        assert_eq!(
+                            pa.get(i, j).to_bits(),
+                            pb.get(i, j).to_bits(),
+                            "Pearson {cell}"
+                        );
+                        assert_eq!(
+                            sa.get(i, j).to_bits(),
+                            sb.get(i, j).to_bits(),
+                            "Spearman {cell}"
+                        );
+                    }
+                }
+                assert_eq!(
+                    a.heuristics, b.heuristics,
+                    "{count} schedules, {threads} threads"
+                );
             }
         }
     }

@@ -27,21 +27,42 @@ use crate::fft::{
 ///
 /// `out` is cleared and resized to `a.len() + b.len() - 1` (left empty if
 /// either input is empty).
+///
+/// Every output slot `k` accumulates `a[i]·b[k−i]` in ascending `i`,
+/// whichever operand is longer: when `a` is the longer one the loops are
+/// interchanged (the long operand on the vectorized inner sweep) and the
+/// outer index over `b` runs in *descending* order, which visits each
+/// slot's terms in the same ascending-`i` order. For finite inputs the
+/// result is bit-identical to the plain `a`-outer loop (asserted against
+/// that oracle in the tests): an accumulator that starts at `+0.0` never
+/// becomes `-0.0`, so adding a `±0` product is exact either way.
 pub fn convolve_direct_into(a: &[f64], b: &[f64], out: &mut Vec<f64>) {
     out.clear();
     if a.is_empty() || b.is_empty() {
         return;
     }
     out.resize(a.len() + b.len() - 1, 0.0);
-    for (i, &x) in a.iter().enumerate() {
-        if x == 0.0 {
-            continue;
+    if a.len() > b.len() {
+        for (j, &y) in b.iter().enumerate().rev() {
+            if y == 0.0 {
+                continue;
+            }
+            for (d, &x) in out[j..j + a.len()].iter_mut().zip(a) {
+                *d += x * y;
+            }
         }
-        // Slice-zip form: no bounds checks in the inner loop, so the
-        // compiler vectorizes the multiply-add sweep (per-slot accumulation
-        // order is unchanged — lanes span independent output slots).
-        for (d, &y) in out[i..i + b.len()].iter_mut().zip(b.iter()) {
-            *d += x * y;
+    } else {
+        for (i, &x) in a.iter().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            // Slice-zip form: no bounds checks in the inner loop, so the
+            // compiler vectorizes the multiply-add sweep (per-slot
+            // accumulation order is unchanged — lanes span independent
+            // output slots).
+            for (d, &y) in out[i..i + b.len()].iter_mut().zip(b) {
+                *d += x * y;
+            }
         }
     }
 }
@@ -279,6 +300,64 @@ mod tests {
         let big = convolve_auto(&a, &b);
         assert_eq!(big.len(), 127);
         assert!(approx_eq(big[63], 64.0, 1e-9));
+    }
+
+    /// The plain `a`-outer loop: the reference summation order that
+    /// [`convolve_direct_into`] must reproduce bit for bit.
+    fn oracle_a_outer(a: &[f64], b: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; a.len() + b.len() - 1];
+        for (i, &x) in a.iter().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            for (j, &y) in b.iter().enumerate() {
+                out[i + j] += x * y;
+            }
+        }
+        out
+    }
+
+    /// Mixed-sign, mixed-magnitude samples with `0.0` and `-0.0` sprinkled
+    /// in (a PDF's clamped tails), from a fixed linear congruential stream.
+    fn signal(len: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                match state >> 60 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    r => {
+                        let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+                        (u - 0.25) * (r as f64).exp2()
+                    }
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn direct_matches_the_a_outer_order_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut out = Vec::new();
+        for short in 1..=40 {
+            let s = signal(short, short as u64);
+            for long in 1..=300 {
+                let l = signal(long, 1000 + long as u64);
+                for (a, b) in [(&s, &l), (&l, &s)] {
+                    convolve_direct_into(a, b, &mut out);
+                    assert_eq!(
+                        bits(&out),
+                        bits(&oracle_a_outer(a, b)),
+                        "{} ⊛ {}",
+                        a.len(),
+                        b.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

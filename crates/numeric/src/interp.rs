@@ -134,6 +134,38 @@ impl CubicSpline {
     }
 }
 
+/// Abscissa of knot `i` of the `n`-knot uniform grid over `[lo, hi]` with
+/// step `step`: `lo + step·i`, the last knot pinned to `hi`.
+///
+/// `i` is a slice index, hence below `isize::MAX`, so converting it through
+/// `i64` is exact and gives the same `f64` as `i as f64` — in one
+/// instruction, where the unsigned conversion takes several on x86-64
+/// without AVX-512.
+#[inline(always)]
+fn uniform_knot(lo: f64, hi: f64, step: f64, n: usize, i: usize) -> f64 {
+    if i == n - 1 {
+        hi
+    } else {
+        lo + step * i as i64 as f64
+    }
+}
+
+/// Interval of `x` on the `n`-knot uniform grid starting at `lo` (direct
+/// lookup, no binary search): 0 at or below `lo`, else
+/// `⌊(x − lo)/step⌋` capped at `n − 2`.
+///
+/// Past the first branch `t = (x − lo)·inv_step` is positive or NaN, so
+/// the saturating `i64` cast truncates exactly like the `usize` one: both
+/// map NaN to 0, and both exceed `n − 2` whenever either saturates.
+#[inline(always)]
+fn uniform_cell(lo: f64, inv_step: f64, n: usize, x: f64) -> usize {
+    if x <= lo {
+        0
+    } else {
+        (((x - lo) * inv_step) as i64 as usize).min(n - 2)
+    }
+}
+
 /// Reusable buffers for fitting natural cubic splines over *uniform* grids
 /// without allocating — and, after the first fit, without dividing.
 ///
@@ -189,41 +221,90 @@ impl SplineScratch {
     /// # Panics
     /// Panics if fewer than two samples are given or `hi <= lo`.
     pub fn fit_uniform<'a>(&'a mut self, lo: f64, hi: f64, ys: &'a [f64]) -> UniformSpline<'a> {
-        let n = ys.len();
-        assert!(n >= 2, "spline needs at least two knots");
-        assert!(hi > lo, "inverted interval [{lo}, {hi}]");
-        let step = (hi - lo) / (n - 1) as f64;
-        let inv_step = 1.0 / step;
-        self.m.clear();
-        self.m.resize(n, 0.0);
-        if n > 2 {
-            let rows = n - 2;
-            self.grow_diagonals(rows);
-            self.rhs.clear();
-            self.rhs.reserve(rows);
+        let [spline] = Self::fit_uniform_many([(self, lo, hi, ys)]);
+        spline
+    }
+
+    /// Fits two independent splines, as [`fit_uniform`](Self::fit_uniform)
+    /// each, with their elimination sweeps interleaved: each sweep is a
+    /// latency-bound chain, so running two side by side costs little more
+    /// than running one. The coefficients are bit-identical to two separate
+    /// fits.
+    ///
+    /// # Panics
+    /// As [`fit_uniform`](Self::fit_uniform), for either fit.
+    pub fn fit_uniform_pair<'a>(
+        first: (&'a mut Self, f64, f64, &'a [f64]),
+        second: (&'a mut Self, f64, f64, &'a [f64]),
+    ) -> [UniformSpline<'a>; 2] {
+        Self::fit_uniform_many([first, second])
+    }
+
+    /// `K` fits with interleaved sweeps. On a uniform grid the system is
+    /// the constant `(1, 4, 1)` tridiagonal with right-hand side
+    /// `(6/h²)·Δ²y`; natural boundary conditions pin `m₀ = mₙ₋₁ = 0`.
+    #[inline(always)]
+    fn fit_uniform_many<'a, const K: usize>(
+        fits: [(&'a mut Self, f64, f64, &'a [f64]); K],
+    ) -> [UniformSpline<'a>; K] {
+        let mut systems = fits.map(|(scratch, lo, hi, ys)| {
+            let n = ys.len();
+            assert!(n >= 2, "spline needs at least two knots");
+            assert!(hi > lo, "inverted interval [{lo}, {hi}]");
+            let step = (hi - lo) / (n - 1) as f64;
+            let inv_step = 1.0 / step;
+            scratch.grow_diagonals(n - 2);
+            let SplineScratch {
+                rhs, m, inv_diag, ..
+            } = scratch;
+            m.clear();
+            m.resize(n, 0.0);
             let scale = 6.0 * inv_step * inv_step;
-            for i in 1..n - 1 {
-                self.rhs.push(scale * (ys[i + 1] - 2.0 * ys[i] + ys[i - 1]));
-            }
-            // Forward elimination (sub-diagonal 1): rhsᵢ ← rhsᵢ − rhsᵢ₋₁/dᵢ₋₁.
-            for i in 1..rows {
-                self.rhs[i] -= self.rhs[i - 1] * self.inv_diag[i - 1];
-            }
-            // Back substitution (super-diagonal 1).
-            self.m[n - 2] = self.rhs[rows - 1] * self.inv_diag[rows - 1];
-            for i in (0..rows - 1).rev() {
-                self.m[i + 1] = (self.rhs[i] - self.m[i + 2]) * self.inv_diag[i];
+            rhs.clear();
+            rhs.extend(ys.windows(3).map(|w| scale * (w[2] - 2.0 * w[1] + w[0])));
+            let spline = UniformSpline {
+                lo,
+                hi,
+                step,
+                inv_step,
+                h2_over_6: step * step / 6.0,
+                ys,
+                m: &[],
+            };
+            (spline, &mut rhs[..], &mut m[..], &inv_diag[..])
+        });
+        let longest = systems.iter().map(|s| s.1.len()).max().unwrap_or(0);
+        // Forward elimination (sub-diagonal 1): rhsᵢ ← rhsᵢ − rhsᵢ₋₁/dᵢ₋₁,
+        // the running value carried in a register rather than reloaded.
+        let mut carry = systems
+            .each_ref()
+            .map(|s| s.1.first().copied().unwrap_or(0.0));
+        for i in 1..longest {
+            for ((_, rhs, _, inv_diag), c) in systems.iter_mut().zip(&mut carry) {
+                if i < rhs.len() {
+                    *c = rhs[i] - *c * inv_diag[i - 1];
+                    rhs[i] = *c;
+                }
             }
         }
-        UniformSpline {
-            lo,
-            hi,
-            step,
-            inv_step,
-            h2_over_6: step * step / 6.0,
-            ys,
-            m: &self.m,
+        // Back substitution (super-diagonal 1): m[rows] first, then down.
+        for ((_, rhs, m, inv_diag), c) in systems.iter_mut().zip(&mut carry) {
+            let rows = rhs.len();
+            if rows > 0 {
+                *c = rhs[rows - 1] * inv_diag[rows - 1];
+                m[rows] = *c;
+            }
         }
+        for t in 0..longest.saturating_sub(1) {
+            for ((_, rhs, m, inv_diag), c) in systems.iter_mut().zip(&mut carry) {
+                if t + 1 < rhs.len() {
+                    let i = rhs.len() - 2 - t;
+                    *c = (rhs[i] - *c) * inv_diag[i];
+                    m[i + 1] = *c;
+                }
+            }
+        }
+        systems.map(|(spline, _, m, _)| UniformSpline { m, ..spline })
     }
 }
 
@@ -241,32 +322,42 @@ pub struct UniformSpline<'a> {
 }
 
 impl UniformSpline<'_> {
-    #[inline]
+    #[inline(always)]
     fn knot(&self, i: usize) -> f64 {
-        if i == self.ys.len() - 1 {
-            self.hi
-        } else {
-            self.lo + self.step * i as f64
-        }
+        uniform_knot(self.lo, self.hi, self.step, self.ys.len(), i)
     }
 
     /// Evaluates the spline at `x`; clamps (linear-extends by the boundary
     /// cubic) outside the knot range, like [`CubicSpline::eval`].
     pub fn eval(&self, x: f64) -> f64 {
+        self.eval_in(self.ys, self.m, x)
+    }
+
+    /// Fills every slot `i` of `out` with `self.eval(x_at(i))` — the
+    /// resampling loop, with exactly [`eval`](Self::eval)'s per-point
+    /// arithmetic (so bit-identical to calling it point by point) but with
+    /// the coefficient slices' bounds hoisted out of the loop.
+    #[inline]
+    pub fn eval_into(&self, out: &mut [f64], x_at: impl Fn(usize) -> f64) {
         let n = self.ys.len();
-        // Direct interval lookup on the uniform grid (no binary search).
-        let i = if x <= self.lo {
-            0
-        } else {
-            (((x - self.lo) * self.inv_step) as usize).min(n - 2)
-        };
+        let (ys, m) = (&self.ys[..n], &self.m[..n]);
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = self.eval_in(ys, m, x_at(i));
+        }
+    }
+
+    /// [`eval`](Self::eval) over coefficient slices of the knot count.
+    #[inline(always)]
+    fn eval_in(&self, ys: &[f64], m: &[f64], x: f64) -> f64 {
+        let n = ys.len();
+        let i = uniform_cell(self.lo, self.inv_step, n, x);
         let x0 = self.knot(i);
         let x1 = self.knot(i + 1);
         let a = (x1 - x) * self.inv_step;
         let b = (x - x0) * self.inv_step;
-        a * self.ys[i]
-            + b * self.ys[i + 1]
-            + ((a * a * a - a) * self.m[i] + (b * b * b - b) * self.m[i + 1]) * self.h2_over_6
+        a * ys[i]
+            + b * ys[i + 1]
+            + ((a * a * a - a) * m[i] + (b * b * b - b) * m[i + 1]) * self.h2_over_6
     }
 }
 
@@ -313,23 +404,16 @@ impl<'a> UniformLocalCubic<'a> {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn knot(&self, i: usize) -> f64 {
-        if i == self.ys.len() - 1 {
-            self.hi
-        } else {
-            self.lo + self.step * i as f64
-        }
+        uniform_knot(self.lo, self.hi, self.step, self.ys.len(), i)
     }
 
     /// Evaluates at `x` (clamped extrapolation by the boundary stencil).
+    #[inline]
     pub fn eval(&self, x: f64) -> f64 {
         let n = self.ys.len();
-        let i = if x <= self.lo {
-            0
-        } else {
-            (((x - self.lo) * self.inv_step) as usize).min(n - 2)
-        };
+        let i = uniform_cell(self.lo, self.inv_step, n, x);
         if n < 4 {
             // Exact low-order interpolating polynomial.
             let t = (x - self.lo) * self.inv_step;
@@ -353,6 +437,15 @@ impl<'a> UniformLocalCubic<'a> {
         let w2 = -0.5 * t * t1 * t3;
         let w3 = t * t1 * t2 / 6.0;
         w0 * self.ys[s] + w1 * self.ys[s + 1] + w2 * self.ys[s + 2] + w3 * self.ys[s + 3]
+    }
+
+    /// Fills every slot `i` of `out` with `self.eval(x_at(i))` — the
+    /// down-sampling loop, writing into a pre-sized slice.
+    #[inline]
+    pub fn eval_into(&self, out: &mut [f64], x_at: impl Fn(usize) -> f64) {
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = self.eval(x_at(i));
+        }
     }
 }
 
@@ -795,6 +888,76 @@ mod tests {
         let _ = scratch.fit_uniform(-1.0, 4.0, &big).eval(2.0);
         let v2 = scratch.fit_uniform(0.0, 1.0, &ys1).eval(0.4);
         assert_eq!(v1, v2);
+    }
+
+    /// The plain Thomas solve (two sweeps through memory), as the fit was
+    /// first written: the reference the interleaved solver must match.
+    fn oracle_second_derivatives(lo: f64, hi: f64, ys: &[f64]) -> Vec<f64> {
+        let n = ys.len();
+        let inv_step = 1.0 / ((hi - lo) / (n - 1) as f64);
+        let mut m = vec![0.0; n];
+        if n > 2 {
+            let rows = n - 2;
+            let mut inv_diag = vec![0.25];
+            while inv_diag.len() < rows {
+                inv_diag.push(1.0 / (4.0 - inv_diag[inv_diag.len() - 1]));
+            }
+            let scale = 6.0 * inv_step * inv_step;
+            let mut rhs: Vec<f64> = (1..n - 1)
+                .map(|i| scale * (ys[i + 1] - 2.0 * ys[i] + ys[i - 1]))
+                .collect();
+            for i in 1..rows {
+                rhs[i] -= rhs[i - 1] * inv_diag[i - 1];
+            }
+            m[n - 2] = rhs[rows - 1] * inv_diag[rows - 1];
+            for i in (0..rows - 1).rev() {
+                m[i + 1] = (rhs[i] - m[i + 2]) * inv_diag[i];
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn single_and_paired_fits_match_the_plain_solve_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let data =
+            |n: usize, f: f64| -> Vec<f64> { (0..n).map(|i| (i as f64 * f).sin().abs()).collect() };
+        let (mut s1, mut s2) = (SplineScratch::new(), SplineScratch::new());
+        for n1 in 2..70 {
+            let ys1 = data(n1, 0.29);
+            let want1 = bits(&oracle_second_derivatives(1.5, 9.0, &ys1));
+            assert_eq!(bits(s1.fit_uniform(1.5, 9.0, &ys1).m), want1, "single {n1}");
+            for n2 in [2, 3, 4, n1, 64, 65] {
+                let ys2 = data(n2, 0.71);
+                let want2 = bits(&oracle_second_derivatives(-3.0, 0.5, &ys2));
+                let [a, b] = SplineScratch::fit_uniform_pair(
+                    (&mut s1, 1.5, 9.0, &ys1),
+                    (&mut s2, -3.0, 0.5, &ys2),
+                );
+                assert_eq!(bits(a.m), want1, "pair {n1}+{n2}, first");
+                assert_eq!(bits(b.m), want2, "pair {n1}+{n2}, second");
+            }
+        }
+    }
+
+    #[test]
+    fn eval_into_matches_pointwise_eval_bit_for_bit() {
+        let ys: Vec<f64> = (0..64).map(|i| (i as f64 * 0.13).cos() + 1.5).collect();
+        let x_at = |i: usize| -0.5 + 0.043 * i as f64;
+        let mut out = vec![0.0; 300];
+        let mut scratch = SplineScratch::new();
+        let spline = scratch.fit_uniform(0.0, 11.0, &ys);
+        spline.eval_into(&mut out, x_at);
+        for (i, v) in out.iter().enumerate() {
+            assert_eq!(v.to_bits(), spline.eval(x_at(i)).to_bits(), "spline {i}");
+        }
+        for n in [2, 3, 4, 64] {
+            let local = UniformLocalCubic::new(0.0, 11.0, &ys[..n]);
+            local.eval_into(&mut out, x_at);
+            for (i, v) in out.iter().enumerate() {
+                assert_eq!(v.to_bits(), local.eval(x_at(i)).to_bits(), "local {n}: {i}");
+            }
+        }
     }
 
     #[test]

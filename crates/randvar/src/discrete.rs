@@ -25,7 +25,7 @@ use robusched_numeric::integrate::{
     cumulative_trapezoid_into, simpson_uniform, simpson_uniform_fn, trapezoid_uniform,
     trapezoid_uniform_fn,
 };
-use robusched_numeric::interp::{SplineScratch, UniformLocalCubic};
+use robusched_numeric::interp::{SplineScratch, UniformLocalCubic, UniformSpline};
 use robusched_numeric::smooth::clamp_nonnegative;
 
 /// Working resolution for intermediate convolutions; the result is
@@ -60,6 +60,22 @@ fn grid_x(lo: f64, hi: f64, step: f64, n: usize, i: usize) -> f64 {
     } else {
         lo + step * i as f64
     }
+}
+
+/// Grid interval `i = ⌊t⌋` (capped at `last`) of a fractional grid
+/// position `t = (x − lo)/h`, and the offset `t − i` within it — the
+/// lookup behind every linear interpolation on the grid.
+///
+/// Callers guarantee `t ≥ 0` or NaN. Truncation then equals `floor`, which
+/// baseline x86-64 (no `roundsd`) can only do through a libm call; a NaN
+/// casts to 0 under both. The casts go through `i64`, one instruction each
+/// way where the `usize` ones take several: for `t < 2⁶³` both truncate
+/// alike, beyond it both saturate past `last`, and `i ≤ last` converts back
+/// to the same `f64` either way.
+#[inline(always)]
+fn grid_cell(t: f64, last: usize) -> (usize, f64) {
+    let i = (t as i64 as usize).min(last);
+    (i, t - i as i64 as f64)
 }
 
 /// A random variable represented by a sampled PDF on a uniform grid.
@@ -309,8 +325,8 @@ impl DiscreteRv {
         }
         let h = self.step();
         let t = (x - self.lo) / h;
-        let i = (t.floor() as usize).min(self.pdf.len() - 2);
-        let frac = t - i as f64;
+        // `t ≥ 0` here (`x ≥ lo`).
+        let (i, frac) = grid_cell(t, self.pdf.len() - 2);
         self.pdf[i] * (1.0 - frac) + self.pdf[i + 1] * frac
     }
 
@@ -327,8 +343,8 @@ impl DiscreteRv {
         }
         let h = self.step();
         let t = (x - self.lo) / h;
-        let i = (t.floor() as usize).min(self.cdf.len() - 2);
-        let frac = t - i as f64;
+        // `t > 0` here (`x > lo`).
+        let (i, frac) = grid_cell(t, self.cdf.len() - 2);
         self.cdf[i] * (1.0 - frac) + self.cdf[i + 1] * frac
     }
 
@@ -557,57 +573,101 @@ impl DiscreteRv {
             return;
         }
 
-        self.resample_step_into(h, &mut ws.spline, &mut ws.f1);
-        other.resample_step_into(h, &mut ws.spline, &mut ws.f2);
-        convolve_auto_into(&ws.f1, &ws.f2, &mut ws.conv);
-        for v in ws.conv.iter_mut() {
+        let RvWorkspace {
+            f1,
+            f2,
+            conv,
+            spline1,
+            spline2,
+        } = ws;
+        // Both operand fits come first, with their Thomas sweeps interleaved:
+        // each is a latency-bound chain, so the pair costs about one.
+        let n1 = self.resample_points(h);
+        let n2 = other.resample_points(h);
+        let (fit1, fit2) = match (self.on_step_grid(n1, h), other.on_step_grid(n2, h)) {
+            (false, false) => {
+                let [a, b] = SplineScratch::fit_uniform_pair(
+                    (spline1, self.lo, self.hi, &self.pdf),
+                    (spline2, other.lo, other.hi, &other.pdf),
+                );
+                (Some(a), Some(b))
+            }
+            (skip1, skip2) => (
+                (!skip1).then(|| spline1.fit_uniform(self.lo, self.hi, &self.pdf)),
+                (!skip2).then(|| spline2.fit_uniform(other.lo, other.hi, &other.pdf)),
+            ),
+        };
+        self.resample_step_into(fit1.as_ref(), n1, h, f1);
+        other.resample_step_into(fit2.as_ref(), n2, h, f2);
+        convolve_auto_into(f1, f2, conv);
+        for v in conv.iter_mut() {
             *v *= h;
         }
-        clamp_nonnegative(&mut ws.conv);
+        clamp_nonnegative(conv);
         // The convolution grid starts at lo with step h; resample to the
         // exact target support (its end may differ from `hi` by < h due to
         // rounding of the operand grids). The convolution grid oversamples
         // the output ~4×, so the fit-free local cubic matches a natural
         // spline to ~1e-6 here while skipping its O(n) Thomas solve — the
         // single largest cost of a `sum` after the convolution itself.
-        let conv_hi = lo + h * (ws.conv.len() - 1) as f64;
-        let interp = UniformLocalCubic::new(lo, conv_hi, &ws.conv);
+        let conv_hi = lo + h * (conv.len() - 1) as f64;
+        let interp = UniformLocalCubic::new(lo, conv_hi, conv);
         out.lo = lo;
         out.hi = hi;
         out.pdf.clear();
-        out.pdf.reserve(n_out);
+        out.pdf.resize(n_out, 0.0);
         let out_step = (hi - lo) / (n_out - 1) as f64;
-        for i in 0..n_out {
-            let x = grid_x(lo, hi, out_step, n_out, i);
-            out.pdf.push(if x > conv_hi { 0.0 } else { interp.eval(x) });
+        let x_at = |i| grid_x(lo, hi, out_step, n_out, i);
+        interp.eval_into(&mut out.pdf, x_at);
+        for (i, v) in out.pdf.iter_mut().enumerate() {
+            if x_at(i) > conv_hi {
+                *v = 0.0;
+            }
         }
         out.finish_normalize();
     }
 
-    /// Resamples this PDF onto a grid of step `h` starting at `lo`,
-    /// covering the support (last point may fall `< h` short of `hi`),
-    /// writing into `out`. The result is renormalized to unit trapezoid
-    /// mass.
-    ///
-    /// When the target grid coincides with the operand's own grid
-    /// (commensurate step, same point count) the spline fit is skipped
-    /// entirely — resampling would merely reproduce the knots.
-    fn resample_step_into(&self, h: f64, scratch: &mut SplineScratch, out: &mut Vec<f64>) {
-        let n = (((self.span() / h).round() as usize) + 1).max(2);
+    /// Point count of this PDF resampled onto a grid of step `h` starting
+    /// at `lo` and covering the support (the last point may fall `< h`
+    /// short of `hi`).
+    fn resample_points(&self, h: f64) -> usize {
+        (((self.span() / h).round() as usize) + 1).max(2)
+    }
+
+    /// Whether the `n`-point step-`h` resampling grid coincides with the
+    /// operand's own grid (commensurate step, same point count), so
+    /// resampling would merely reproduce the knots and the fit is skipped.
+    fn on_step_grid(&self, n: usize, h: f64) -> bool {
+        n == self.points() && (self.step() - h).abs() <= 1e-12 * h
+    }
+
+    /// Resamples this PDF onto the `n`-point grid of step `h` starting at
+    /// `lo`, from its fitted `spline` (`None` when
+    /// [`on_step_grid`](Self::on_step_grid) holds), writing into `out`. The
+    /// result is renormalized to unit trapezoid mass.
+    fn resample_step_into(
+        &self,
+        spline: Option<&UniformSpline>,
+        n: usize,
+        h: f64,
+        out: &mut Vec<f64>,
+    ) {
         out.clear();
-        if n == self.points() && (self.step() - h).abs() <= 1e-12 * h {
-            out.extend_from_slice(&self.pdf);
-        } else {
-            let spline = scratch.fit_uniform(self.lo, self.hi, &self.pdf);
-            out.reserve(n);
-            let top = self.lo + h * (n - 1) as f64;
-            for i in 0..n {
-                let x = self.lo + h * i as f64;
-                out.push(if x > self.hi.max(top - h) && x > self.hi {
-                    0.0
-                } else {
-                    spline.eval(x.min(self.hi))
-                });
+        match spline {
+            None => out.extend_from_slice(&self.pdf),
+            Some(spline) => {
+                out.resize(n, 0.0);
+                spline.eval_into(out, |i| (self.lo + h * i as f64).min(self.hi));
+                // Grid points past the support (in practice only the last
+                // one) carry no density.
+                let top = self.lo + h * (n - 1) as f64;
+                let cut = self.hi.max(top - h);
+                for (i, v) in out.iter_mut().enumerate() {
+                    let x = self.lo + h * i as f64;
+                    if x > cut && x > self.hi {
+                        *v = 0.0;
+                    }
+                }
             }
         }
         clamp_nonnegative(out);
@@ -620,33 +680,59 @@ impl DiscreteRv {
     }
 
     /// Density and CDF at `x` in one interval lookup — the merged kernel
-    /// behind [`DiscreteRv::max_into`] / [`DiscreteRv::min_into`]. Matches
-    /// [`DiscreteRv::pdf_at`] and [`DiscreteRv::cdf_at`] pointwise.
-    #[inline]
-    fn pdf_cdf_at(&self, x: f64) -> (f64, f64) {
+    /// behind [`DiscreteRv::max_into`] / [`DiscreteRv::min_into`], with the
+    /// grid step `h` (= [`DiscreteRv::step`]) hoisted out of their scans.
+    /// Matches [`DiscreteRv::pdf_at`] and [`DiscreteRv::cdf_at`] pointwise.
+    ///
+    /// `t = (x − lo)/h` is positive on the path that reaches
+    /// [`grid_cell`] (`x > lo` there, `h > 0`), or NaN.
+    #[inline(always)]
+    fn pdf_cdf_at_step(&self, x: f64, h: f64) -> (f64, f64) {
         debug_assert!(!self.is_point());
+        let n = self.pdf.len();
+        let (pdf, cdf) = (&self.pdf[..n], &self.cdf[..n]);
         if x < self.lo {
             return (0.0, 0.0);
         }
         if x == self.lo {
-            return (self.pdf[0], 0.0);
+            return (pdf[0], 0.0);
         }
         if x >= self.hi {
-            let f = if x > self.hi {
-                0.0
-            } else {
-                self.pdf[self.pdf.len() - 1]
-            };
+            let f = if x > self.hi { 0.0 } else { pdf[n - 1] };
             return (f, 1.0);
         }
-        let h = self.step();
         let t = (x - self.lo) / h;
-        let i = (t.floor() as usize).min(self.pdf.len() - 2);
-        let frac = t - i as f64;
+        let (i, frac) = grid_cell(t, n - 2);
         (
-            self.pdf[i] * (1.0 - frac) + self.pdf[i + 1] * frac,
-            self.cdf[i] * (1.0 - frac) + self.cdf[i + 1] * frac,
+            pdf[i] * (1.0 - frac) + pdf[i + 1] * frac,
+            cdf[i] * (1.0 - frac) + cdf[i + 1] * frac,
         )
+    }
+
+    /// The merged `max`/`min` scan: `out.pdf[i] = combine(f₁, F₁, f₂, F₂)`
+    /// at every point of the `n_out`-point grid over `[lo, hi]`, then
+    /// normalization.
+    #[inline(always)]
+    fn product_scan_into(
+        &self,
+        other: &Self,
+        (lo, hi, n_out): (f64, f64, usize),
+        out: &mut Self,
+        combine: impl Fn(f64, f64, f64, f64) -> f64,
+    ) {
+        out.lo = lo;
+        out.hi = hi;
+        out.pdf.clear();
+        out.pdf.resize(n_out, 0.0);
+        let step = (hi - lo) / (n_out - 1) as f64;
+        let (h1, h2) = (self.step(), other.step());
+        for (i, slot) in out.pdf.iter_mut().enumerate() {
+            let x = grid_x(lo, hi, step, n_out, i);
+            let (f1, c1) = self.pdf_cdf_at_step(x, h1);
+            let (f2, c2) = other.pdf_cdf_at_step(x, h2);
+            *slot = combine(f1, c1, f2, c2);
+        }
+        out.finish_normalize();
     }
 
     /// Distribution of `max(X, Y)` for independent `X`, `Y`.
@@ -680,18 +766,9 @@ impl DiscreteRv {
         if lo == hi {
             return out.set_point(lo);
         }
-        out.lo = lo;
-        out.hi = hi;
-        out.pdf.clear();
-        out.pdf.reserve(n_out);
-        let step = (hi - lo) / (n_out - 1) as f64;
-        for i in 0..n_out {
-            let x = grid_x(lo, hi, step, n_out, i);
-            let (f1, c1) = self.pdf_cdf_at(x);
-            let (f2, c2) = other.pdf_cdf_at(x);
-            out.pdf.push(f1 * c2 + c1 * f2);
-        }
-        out.finish_normalize();
+        self.product_scan_into(other, (lo, hi, n_out), out, |f1, c1, f2, c2| {
+            f1 * c2 + c1 * f2
+        });
     }
 
     /// Distribution of `min(X, Y)` for independent `X`, `Y`
@@ -720,18 +797,9 @@ impl DiscreteRv {
         if lo == hi {
             return out.set_point(lo);
         }
-        out.lo = lo;
-        out.hi = hi;
-        out.pdf.clear();
-        out.pdf.reserve(n_out);
-        let step = (hi - lo) / (n_out - 1) as f64;
-        for i in 0..n_out {
-            let x = grid_x(lo, hi, step, n_out, i);
-            let (f1, c1) = self.pdf_cdf_at(x);
-            let (f2, c2) = other.pdf_cdf_at(x);
-            out.pdf.push(f1 * (1.0 - c2) + (1.0 - c1) * f2);
-        }
-        out.finish_normalize();
+        self.product_scan_into(other, (lo, hi, n_out), out, |f1, c1, f2, c2| {
+            f1 * (1.0 - c2) + (1.0 - c1) * f2
+        });
     }
 
     /// `max(X, c)` for a constant `c`.

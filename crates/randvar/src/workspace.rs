@@ -29,8 +29,11 @@ pub struct RvWorkspace {
     pub(crate) f2: Vec<f64>,
     /// Convolution output.
     pub(crate) conv: Vec<f64>,
-    /// Spline system (Thomas solve) buffers, shared by the sequential fits.
-    pub(crate) spline: SplineScratch,
+    /// Spline system (Thomas solve) buffers of the first operand's fit.
+    pub(crate) spline1: SplineScratch,
+    /// The second operand's fit, kept apart so both fits can be made
+    /// before either spline is evaluated.
+    pub(crate) spline2: SplineScratch,
 }
 
 impl RvWorkspace {

@@ -195,3 +195,66 @@ fn streamed_matrices_thread_invariant_per_backend() {
         }
     }
 }
+
+/// FNV-1a over the little-endian bytes of 64-bit words.
+fn fnv1a(hash: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Hash of every bit the classic evaluator returns (`lo`, `hi`, `pdf`,
+/// `cdf`) for 16 random schedules plus HEFT, through one warm context.
+fn classic_golden_hash(s: &Scenario) -> u64 {
+    use robusched::stochastic::{ClassicEvaluator, Evaluator};
+    let e = ClassicEvaluator::default();
+    let mut cx = EvalContext::new(e.prepare(s));
+    let m = s.machine_count();
+    let mut schedules: Vec<Schedule> = (0..16)
+        .map(|i| random_schedule(&s.graph.dag, m, 7000 + i))
+        .collect();
+    schedules.push(heft(s));
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for sched in &schedules {
+        let rv = e.evaluate_with(s, sched, &mut cx);
+        hash = fnv1a(hash, rv.lo().to_bits());
+        hash = fnv1a(hash, rv.hi().to_bits());
+        for &v in rv.pdf_values().iter().chain(rv.cdf_values()) {
+            hash = fnv1a(hash, v.to_bits());
+        }
+    }
+    hash
+}
+
+/// Pins the classic evaluator's exact output bits on the study-sized
+/// cases. The kernel rewrites behind it (convolution loop order, grid
+/// resampling, truncating lookups) must change none of them: committed
+/// result files and gallery replays depend on every bit.
+#[test]
+fn classic_evaluator_golden_bits() {
+    use robusched::dag::generators::cholesky;
+    let cases = [
+        (
+            "n30",
+            Scenario::paper_random(30, 8, 1.01, 30),
+            0xa461_c022_f4e8_5454,
+        ),
+        (
+            "chol36",
+            Scenario::paper_real_app(cholesky(8), 4, 1.01, 36),
+            0xfc40_b0ed_c0d6_b4e9,
+        ),
+        (
+            "n100",
+            Scenario::paper_random(100, 16, 1.1, 100),
+            0xa071_a2ac_2415_6161,
+        ),
+    ];
+    for (name, s, want) in cases {
+        let got = classic_golden_hash(&s);
+        assert_eq!(
+            got, want,
+            "{name}: classic output bits changed ({got:#018x})"
+        );
+    }
+}
