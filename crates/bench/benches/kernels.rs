@@ -2,13 +2,10 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use robusched_bench::{bench_app_scenario, bench_scenario, bench_scenario_medium, bench_schedule};
-#[allow(deprecated)]
-use robusched_core::run_case;
-use robusched_core::{StudyBuilder, StudyConfig};
+use robusched_core::{CaseResult, StudyBuilder};
 use robusched_dag::apps::AppClass;
-use robusched_numeric::convolution::{
-    convolve_auto, convolve_direct, convolve_fft, convolve_overlap_add,
-};
+use robusched_numeric::convolution::{convolve_auto, convolve_direct, convolve_fft};
+use robusched_platform::Scenario;
 use robusched_randvar::{DiscreteRv, RvWorkspace, ScaledBeta};
 use robusched_sched::{bil, cpop, heft, hyb_bmct, random_schedule, sigma_heft};
 use robusched_stochastic::{
@@ -33,11 +30,6 @@ fn convolution_kernels(c: &mut Criterion) {
         g.bench_function("auto", |bch| {
             bch.iter(|| convolve_auto(black_box(&a), black_box(&b)))
         });
-        if n == 256 {
-            g.bench_function("overlap_add", |bch| {
-                bch.iter(|| convolve_overlap_add(black_box(&a), black_box(&b), 64))
-            });
-        }
         g.finish();
     }
 }
@@ -102,9 +94,23 @@ fn grid_resolution_ablation(c: &mut Criterion) {
     g.finish();
 }
 
+/// The buffered protocol on one thread without heuristics: every metric
+/// row materialized, then the two-pass Pearson matrix.
+fn buffered_case(s: &Scenario, random_schedules: usize, seed: u64) -> CaseResult {
+    StudyBuilder::new(s)
+        .random_schedules(random_schedules)
+        .seed(seed)
+        .threads(1)
+        .buffer_metrics(true)
+        .run()
+        .unwrap()
+        .into_case()
+        .unwrap()
+}
+
 /// Structured-application workloads: cost of the heaviest generator (LU
-/// grows as `Θ(n³)` tasks — 1 496 at n = 16) and of a complete `run_case`
-/// over a Cholesky application scenario.
+/// grows as `Θ(n³)` tasks — 1 496 at n = 16) and of a complete buffered
+/// case over a Cholesky application scenario.
 fn app_workloads(c: &mut Criterion) {
     let mut g = c.benchmark_group("ext-apps");
     g.bench_function("lu-generate-n16", |b| {
@@ -116,25 +122,13 @@ fn app_workloads(c: &mut Criterion) {
     });
     let s = bench_app_scenario();
     g.sample_size(10);
-    #[allow(deprecated)]
     g.bench_function("run-case-cholesky-36t", |b| {
-        b.iter(|| {
-            run_case(
-                black_box(&s),
-                &StudyConfig {
-                    random_schedules: 32,
-                    seed: 5,
-                    with_heuristics: false,
-                    threads: Some(1),
-                    ..Default::default()
-                },
-            )
-        })
+        b.iter(|| buffered_case(black_box(&s), 32, 5))
     });
     g.finish();
 }
 
-/// Buffered legacy pipeline vs the streaming engine on the same study:
+/// Buffered pipeline vs the streaming engine on the same study:
 /// identical schedule streams and evaluator work, different memory story
 /// (`O(n·k)` materialized rows vs `O(k²)` co-moments + the rank
 /// reservoir). The delta isolates the buffering overhead.
@@ -142,20 +136,8 @@ fn study_streaming(c: &mut Criterion) {
     let s = bench_scenario();
     let mut g = c.benchmark_group("study-streaming");
     g.sample_size(10);
-    #[allow(deprecated)]
     g.bench_function("buffered-run-case-256", |b| {
-        b.iter(|| {
-            run_case(
-                black_box(&s),
-                &StudyConfig {
-                    random_schedules: 256,
-                    seed: 9,
-                    with_heuristics: false,
-                    threads: Some(1),
-                    ..Default::default()
-                },
-            )
-        })
+        b.iter(|| buffered_case(black_box(&s), 256, 9))
     });
     g.bench_function("streaming-builder-256", |b| {
         b.iter(|| {

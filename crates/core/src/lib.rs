@@ -28,8 +28,7 @@
 //! "minimized"). [`StudyBuilder`] is the engine's entry point; its
 //! parallel workers feed the [`streaming`] accumulators (Welford co-moment
 //! matrix + rank reservoir) so correlation matrices need `O(k²)` memory
-//! instead of materializing every row. The legacy [`run_case`] remains as
-//! a deprecated buffering shim.
+//! instead of materializing every row.
 
 pub mod adversarial;
 pub mod metrics;
@@ -52,9 +51,6 @@ pub use service::{
     Ticket,
 };
 pub use streaming::{RankReservoir, StreamingMoments};
-#[allow(deprecated)]
-pub use study::run_case;
 pub use study::{
-    pearson_matrix, spearman_matrix, CaseResult, MetricSink, StudyBuilder, StudyConfig, StudyError,
-    StudyResult,
+    pearson_matrix, spearman_matrix, CaseResult, MetricSink, StudyBuilder, StudyError, StudyResult,
 };

@@ -6,7 +6,7 @@
 //! scenario. A serving workload inverts the shape: many independent
 //! clients submit single `(scenario, schedule, evaluator)` requests, and
 //! scenarios repeat across requests rather than within one call. Rebuilding
-//! the prepared state per request — as `Evaluator::evaluate` does — throws
+//! the prepared state per request — a fresh `EvalContext` per call — throws
 //! away exactly the work PR 4–5 made shareable.
 //!
 //! [`EvalService`] makes the prepared state request-scoped instead of
@@ -50,8 +50,8 @@
 //! serving, which is the whole point of a long-running front end.
 
 use crate::metrics::{compute_metrics, MetricOptions, MetricValues};
-use crate::study::panic_message;
 use robusched_platform::Scenario;
+use robusched_randvar::{panic_message, resolve_threads};
 use robusched_sched::Schedule;
 use robusched_stochastic::{
     evaluator_by_name, scenario_fingerprint, EvalContext, Evaluator, PreparedScenario,
@@ -407,14 +407,7 @@ pub struct EvalService {
 impl EvalService {
     /// Starts the worker pool.
     pub fn new(config: ServiceConfig) -> Self {
-        let workers = config
-            .workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            })
-            .max(1);
+        let workers = resolve_threads(config.workers);
         let shared = Arc::new(Shared {
             config,
             queue: Mutex::new(QueueState::default()),

@@ -36,12 +36,11 @@ use robusched_dynamic::{
     fault_by_spec, policy_by_spec, recovery_by_spec, DynamicSim, PoissonStream, SimConfig,
 };
 use robusched_platform::Scenario;
-use robusched_randvar::derive_seed;
+use robusched_randvar::{derive_seed, par_map_ordered};
 use robusched_sched::{heft, random_schedule, Schedule};
 use robusched_stats::spearman;
-use robusched_stochastic::evaluator_by_name;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use robusched_stochastic::{evaluator_by_name, EvalContext};
+use std::sync::Arc;
 
 /// Uncertainty level of every workload (the paper's mid/high setting).
 const UL: f64 = 1.1;
@@ -189,18 +188,6 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Faults> {
                 .flat_map(move |&f| RECOVERY.iter().map(move |&r| (o, f, r)))
         })
         .collect();
-    let threads = opts
-        .threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .max(1)
-        .min(cells.len());
-
-    let results: Mutex<Vec<Option<CellResult>>> = Mutex::new(vec![None; cells.len()]);
-    let next = AtomicUsize::new(0);
     let run_cell = |idx: usize| -> std::io::Result<CellResult> {
         let (oversub, fault_label, recovery_spec) = cells[idx];
         let policy = policy_by_spec(DROP_POLICY)
@@ -235,34 +222,17 @@ pub fn run(opts: &RunOptions) -> std::io::Result<Faults> {
             metrics: result.metrics,
         })
     };
-    std::thread::scope(|scope| -> std::io::Result<()> {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| -> std::io::Result<()> {
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= cells.len() {
-                            return Ok(());
-                        }
-                        let cell = run_cell(idx)?;
-                        results
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)[idx] = Some(cell);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("cell worker panicked")?;
-        }
-        Ok(())
-    })?;
-    let cells = results
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        .map(|c| c.expect("every cell computed"))
-        .collect();
+    let mut results = Vec::with_capacity(cells.len());
+    par_map_ordered(
+        cells.len(),
+        opts.threads,
+        || (),
+        |_, idx| run_cell(idx),
+        |_, cell| results.push(cell),
+    )
+    .map_err(std::io::Error::other)?;
+    // The first failed cell in cell order wins.
+    let cells = results.into_iter().collect::<std::io::Result<_>>()?;
 
     let (ranking, ranked_schedules) = ranking_phase(opts)?;
     let out = Faults {
@@ -319,8 +289,9 @@ fn ranking_phase(opts: &RunOptions) -> std::io::Result<(Vec<RankingRow>, usize)>
 
     let mut offline: Vec<[f64; 8]> = Vec::with_capacity(schedules.len());
     let mut miss_rates: Vec<f64> = Vec::with_capacity(schedules.len());
+    let mut cx = EvalContext::new(evaluator.prepare(&shared));
     for sched in &schedules {
-        let rv = evaluator.evaluate(&shared, sched);
+        let rv = evaluator.evaluate_with(&shared, sched, &mut cx);
         let metrics = compute_metrics(&shared, sched, &rv, &MetricOptions::default());
         offline.push(metrics.oriented_vector());
 

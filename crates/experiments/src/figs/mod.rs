@@ -10,7 +10,7 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 
-use robusched_core::{pearson_matrix, CaseResult, StudyBuilder};
+use robusched_core::{CaseResult, StudyBuilder};
 use robusched_stats::CorrMatrix;
 
 use crate::cases::Case;
@@ -33,20 +33,16 @@ pub fn correlation_figure(
     fig_name: &str,
 ) -> std::io::Result<CaseResult> {
     let scenario = case.scenario();
-    let study = StudyBuilder::new(&scenario)
+    let res = StudyBuilder::new(&scenario)
         .random_schedules(opts.count(case.schedules, 60))
         .seed(case.seed)
         .threads_opt(opts.threads)
         .heuristics(&PAPER_HEURISTICS)
         .buffer_metrics(true)
         .run()
-        .map_err(|e| std::io::Error::other(e.to_string()))?;
-    let random = study.random.expect("buffering requested");
-    let res = CaseResult {
-        pearson: pearson_matrix(&random),
-        heuristics: study.heuristics,
-        random,
-    };
+        .map_err(|e| std::io::Error::other(e.to_string()))?
+        .into_case()
+        .expect("buffering requested");
 
     let mut csv = metric_csv_header();
     for (i, m) in res.random.iter().enumerate() {

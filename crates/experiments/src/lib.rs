@@ -45,7 +45,7 @@ pub struct RunOptions {
     /// Master seed.
     pub seed: u64,
     /// Worker threads per study (`None` = available parallelism); fed into
-    /// every `StudyBuilder`/`StudyConfig` the experiments construct.
+    /// every `StudyBuilder` and parallel sweep the experiments construct.
     pub threads: Option<usize>,
 }
 

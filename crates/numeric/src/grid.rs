@@ -25,13 +25,6 @@ pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Step of the uniform grid covering `[lo, hi]` with `n` points.
-#[inline]
-pub fn grid_step(lo: f64, hi: f64, n: usize) -> f64 {
-    assert!(n >= 2, "a grid step needs at least two points");
-    (hi - lo) / (n - 1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,12 +66,5 @@ mod tests {
     #[should_panic(expected = "inverted interval")]
     fn inverted_panics() {
         linspace(1.0, 0.0, 3);
-    }
-
-    #[test]
-    fn step_matches_linspace() {
-        let g = linspace(2.0, 4.0, 9);
-        let h = grid_step(2.0, 4.0, 9);
-        assert!((g[1] - g[0] - h).abs() < 1e-15);
     }
 }

@@ -7,8 +7,8 @@
 //! re-implements the required numerical kernels in pure Rust:
 //!
 //! * [`fft`] — iterative radix-2 complex FFT and inverse FFT;
-//! * [`convolution`] — direct, FFT-based and Overlap-Add linear convolution
-//!   (the paper explicitly uses Overlap-Add to speed up PDF convolutions);
+//! * [`convolution`] — direct and FFT-based linear convolution (the paper
+//!   convolves its sampled PDFs with an FFT);
 //! * [`integrate`] — composite trapezoid and Simpson rules plus cumulative
 //!   integration (used to turn PDFs into CDFs);
 //! * [`interp`] — linear and natural cubic-spline interpolation (the paper
@@ -17,7 +17,7 @@
 //! * [`special`] — error function, normal PDF/CDF, log-gamma, regularized
 //!   incomplete gamma and beta functions (exact Beta/Gamma CDFs);
 //! * [`roots`] — bracketing root solver (quantile inversion);
-//! * [`smooth`] — moving-average smoothing;
+//! * [`smooth`] — clamping of negative PDF noise;
 //! * [`kahan`] — compensated summation.
 //!
 //! Everything is deterministic and allocation-conscious; hot kernels take
@@ -33,9 +33,7 @@ pub mod roots;
 pub mod smooth;
 pub mod special;
 
-pub use convolution::{
-    convolve_auto, convolve_auto_into, convolve_direct, convolve_fft, convolve_overlap_add,
-};
+pub use convolution::{convolve_auto, convolve_auto_into, convolve_direct, convolve_fft};
 pub use fft::{fft_inplace, ifft_inplace, Complex, FftPlan};
 pub use grid::linspace;
 pub use integrate::{cumulative_trapezoid, simpson_uniform, trapezoid_uniform};

@@ -22,6 +22,9 @@
 //!   lateness, interval probabilities, quantiles and KS/CM distances;
 //! * [`seed`] — SplitMix64 sub-seed derivation so every experiment is
 //!   reproducible bit-for-bit regardless of thread count;
+//! * [`par`] — [`par::par_map_ordered`], the one deterministic parallel
+//!   map (per-worker state, in-order delivery, panics as errors) every
+//!   worker pool of the workspace runs on;
 //! * [`workspace`] — [`workspace::RvWorkspace`], reusable scratch buffers
 //!   behind the allocation-free `sum_into`/`max_into`/`min_into` kernels
 //!   (the allocating operators route through a thread-local instance).
@@ -36,6 +39,7 @@ pub mod dist;
 pub mod exponential;
 pub mod gamma;
 pub mod normal;
+pub mod par;
 pub mod qtable;
 pub mod seed;
 pub mod triangular;
@@ -50,6 +54,7 @@ pub use dist::{uniform01, Dist};
 pub use exponential::Exponential;
 pub use gamma::Gamma;
 pub use normal::Normal;
+pub use par::{panic_message, par_map_ordered, resolve_threads};
 pub use qtable::QuantileTable;
 pub use seed::{derive_seed, SplitMix64};
 pub use triangular::Triangular;

@@ -33,11 +33,6 @@ pub fn sample_variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
-/// Sample standard deviation (divides by `n − 1`).
-pub fn sample_std(xs: &[f64]) -> f64 {
-    sample_variance(xs).sqrt()
-}
-
 /// Minimum (`+∞` for an empty slice).
 pub fn min(xs: &[f64]) -> f64 {
     xs.iter().copied().fold(f64::INFINITY, f64::min)
@@ -92,7 +87,6 @@ mod tests {
     fn empty_conventions() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(population_std(&[]), 0.0);
-        assert_eq!(sample_std(&[1.0]), 0.0);
         assert_eq!(min(&[]), f64::INFINITY);
         assert_eq!(max(&[]), f64::NEG_INFINITY);
     }

@@ -6,7 +6,7 @@
 //! pair, `comm_dist(e, pu, pv)` on the edge/machine pair — never on the
 //! schedule, yet the evaluators used to re-discretize them for every one of
 //! the tens of thousands of schedules a study pushes through
-//! [`crate::Evaluator::evaluate`]. Each discretization samples a Beta PDF
+//! [`crate::Evaluator::evaluate_with`]. Each discretization samples a Beta PDF
 //! (64 `powf` calls) and normalizes — multiplied across a 10 000-schedule
 //! study this was a significant slice of the §V–§VI protocol's runtime.
 //!

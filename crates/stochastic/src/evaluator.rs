@@ -7,7 +7,8 @@
 //! exactly the kind of question a pluggable harness answers (cf. PISA's
 //! finding that scheduler rankings flip when the evaluation harness
 //! changes). [`Evaluator`] unifies the four backends of this crate behind
-//! `evaluate(&Scenario, &Schedule) -> DiscreteRv`; each implementation
+//! `evaluate_with(&Scenario, &Schedule, &mut EvalContext) -> DiscreteRv`;
+//! each implementation
 //! carries its own configuration (grid resolution, Monte-Carlo realization
 //! budget, …) so a study can be re-run under a different backend by
 //! swapping one trait object.
@@ -96,13 +97,12 @@ impl EvalContext {
 /// All bundled backends satisfy this, including Monte-Carlo (fixed
 /// per-chunk seeding).
 ///
-/// The workhorse method is [`evaluate_with`](Evaluator::evaluate_with):
+/// The one evaluation method is [`evaluate_with`](Evaluator::evaluate_with):
 /// batch callers call [`prepare`](Evaluator::prepare) once per scenario,
 /// build one [`EvalContext`] per worker, and evaluate every schedule
 /// through it — shared discretizations are computed once and scratch
-/// buffers are reused across schedules. [`evaluate`](Evaluator::evaluate)
-/// is the historical convenience wrapper (fresh context per call) and
-/// yields identical distributions.
+/// buffers are reused across schedules. A one-off evaluation passes
+/// [`EvalContext::empty`] and gets the identical distribution.
 ///
 /// # Panics
 /// Bundled implementations panic if the schedule is invalid for the
@@ -120,21 +120,14 @@ pub trait Evaluator: Send + Sync {
 
     /// The makespan distribution of `schedule` under `scenario`, using
     /// (and warming) the caller's context. Must return the same
-    /// distribution as [`evaluate`](Evaluator::evaluate) for any context —
-    /// prepared, empty, or warmed by other schedules.
+    /// distribution for any context — prepared, empty, or warmed by other
+    /// schedules.
     fn evaluate_with(
         &self,
         scenario: &Scenario,
         schedule: &Schedule,
         cx: &mut EvalContext,
     ) -> DiscreteRv;
-
-    /// The makespan distribution of `schedule` under `scenario`
-    /// (convenience wrapper: prepares and evaluates in one call).
-    fn evaluate(&self, scenario: &Scenario, schedule: &Schedule) -> DiscreteRv {
-        let mut cx = EvalContext::new(self.prepare(scenario));
-        self.evaluate_with(scenario, schedule, &mut cx)
-    }
 }
 
 /// The paper's evaluator: topological walk with PDF-convolution sums and
@@ -255,7 +248,7 @@ impl Evaluator for DodinEvaluator {
 /// replayed block-at-a-time through the batched engine, binned into a grid
 /// RV.
 ///
-/// Every `evaluate` call reuses the same fixed seed — common random
+/// Every evaluation reuses the same fixed seed — common random
 /// numbers across schedules, which *reduces* the variance of between-
 /// schedule comparisons (the quantity the correlation study cares about).
 ///
@@ -415,7 +408,8 @@ mod tests {
     #[test]
     fn classic_trait_matches_free_function() {
         let (s, sched) = case();
-        let via_trait = ClassicEvaluator::default().evaluate(&s, &sched);
+        let via_trait =
+            ClassicEvaluator::default().evaluate_with(&s, &sched, &mut EvalContext::empty());
         let direct = evaluate_classic(&s, &sched);
         assert_eq!(via_trait.mean(), direct.mean());
         assert_eq!(via_trait.std_dev(), direct.std_dev());
@@ -427,7 +421,9 @@ mod tests {
         let (s, sched) = case();
         let reference = evaluate_classic(&s, &sched).mean();
         for e in registry() {
-            let m = e.evaluate(&s, &sched).mean();
+            let m = e
+                .evaluate_with(&s, &sched, &mut EvalContext::new(e.prepare(&s)))
+                .mean();
             assert!(
                 (m - reference).abs() / reference < 0.02,
                 "{}: mean {m} vs classic {reference}",
@@ -443,8 +439,8 @@ mod tests {
             realizations: 2_000,
             ..Default::default()
         };
-        let a = e.evaluate(&s, &sched);
-        let b = e.evaluate(&s, &sched);
+        let a = e.evaluate_with(&s, &sched, &mut EvalContext::empty());
+        let b = e.evaluate_with(&s, &sched, &mut EvalContext::new(e.prepare(&s)));
         assert_eq!(a.mean(), b.mean());
         assert_eq!(a.std_dev(), b.std_dev());
     }

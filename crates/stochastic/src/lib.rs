@@ -19,7 +19,8 @@
 //!   series-parallel form.
 //! * [`montecarlo`] — the ground truth: 100 000 (configurable) sampled
 //!   realizations replayed through the eager executor, parallelized with
-//!   crossbeam and deterministic regardless of thread count.
+//!   [`robusched_randvar::par_map_ordered`] and deterministic regardless of
+//!   thread count.
 //!
 //! [`evaluator`] puts all four behind the object-safe [`Evaluator`] trait
 //! (with a by-name [`registry`]) so studies can swap the backend without

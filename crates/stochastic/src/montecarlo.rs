@@ -21,9 +21,10 @@
 //!   computed once per schedule; a realization block is then pure
 //!   streaming arithmetic;
 //! * **fixed chunking** — realizations are split into fixed 2048-wide
-//!   chunks, each seeded as `derive_seed(seed, chunk_index)`; crossbeam
-//!   workers steal chunks, so results are bit-identical for any thread
-//!   count (per estimator);
+//!   chunks, each seeded as `derive_seed(seed, chunk_index)`; the
+//!   [`par_map_ordered`] workers claim chunks and deliver them in chunk
+//!   order, so results are bit-identical for any thread count (per
+//!   estimator);
 //! * **variance reduction** — [`McEstimator::Antithetic`] mirrors every
 //!   uniform draw across realization pairs and [`McEstimator::Stratified`]
 //!   stratifies each slot's `u ∈ [0, 1)` stream within a block
@@ -42,13 +43,11 @@
 //! same fixed contract.
 
 use crate::cache::SamplingTables;
-use crossbeam::thread;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use robusched_platform::Scenario;
-use robusched_randvar::{derive_seed, QuantileTable};
+use robusched_randvar::{derive_seed, par_map_ordered, QuantileTable};
 use robusched_sched::{EagerPlan, ReplayScratch, Schedule};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Variance-reduction mode of the Monte-Carlo engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -275,7 +274,6 @@ pub fn mc_makespans_prepared(
     cfg: &McConfig,
     tables: &SamplingTables,
 ) -> Vec<f64> {
-    let mut out = vec![0.0f64; cfg.realizations];
     let rebuilt;
     let tables = if tables.matches(scenario) {
         tables
@@ -283,68 +281,31 @@ pub fn mc_makespans_prepared(
         rebuilt = SamplingTables::new(scenario);
         &rebuilt
     };
-    let threads = cfg
-        .threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .max(1);
-    if threads == 1 {
-        let mut scratch = McScratch::new();
-        mc_makespans_into(scenario, schedule, cfg, tables, &mut scratch, &mut out);
-        return out;
-    }
-
-    let dag = &scenario.graph.dag;
     let (plan, sampling) = compile_plan(scenario, schedule, cfg);
-    match tables.base() {
-        None => {
-            out.fill(deterministic_makespan(scenario, &plan, &sampling));
-            out
-        }
-        Some(table) => {
-            let chunks: Vec<&mut [f64]> = out.chunks_mut(CHUNK).collect();
-            let next = AtomicUsize::new(0);
-            let n_chunks = chunks.len();
-            let chunk_slots: Vec<std::sync::Mutex<Option<&mut [f64]>>> = chunks
-                .into_iter()
-                .map(|c| std::sync::Mutex::new(Some(c)))
-                .collect();
-            thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|_| {
-                        let mut scratch = McScratch::new();
-                        prepare_matrix(&mut scratch, &sampling);
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= n_chunks {
-                                break;
-                            }
-                            let slice = chunk_slots[idx]
-                                .lock()
-                                .unwrap()
-                                .take()
-                                .expect("each chunk claimed once");
-                            run_chunk(
-                                dag,
-                                &plan,
-                                &sampling,
-                                table,
-                                cfg,
-                                idx as u64,
-                                slice,
-                                &mut scratch,
-                            );
-                        }
-                    });
-                }
-            })
-            .expect("worker panicked");
-            out
-        }
-    }
+    let Some(table) = tables.base() else {
+        return vec![deterministic_makespan(scenario, &plan, &sampling); cfg.realizations];
+    };
+    let dag = &scenario.graph.dag;
+    let mut out = Vec::with_capacity(cfg.realizations);
+    par_map_ordered(
+        cfg.realizations.div_ceil(CHUNK),
+        cfg.threads,
+        || {
+            let mut scratch = McScratch::new();
+            prepare_matrix(&mut scratch, &sampling);
+            scratch
+        },
+        |scratch, idx| {
+            let mut chunk = vec![0.0f64; CHUNK.min(cfg.realizations - idx * CHUNK)];
+            run_chunk(
+                dag, &plan, &sampling, table, cfg, idx as u64, &mut chunk, scratch,
+            );
+            chunk
+        },
+        |_, chunk| out.extend_from_slice(&chunk),
+    )
+    .unwrap_or_else(|msg| panic!("Monte-Carlo worker panicked: {msg}"));
+    out
 }
 
 /// Serial engine core writing into a caller buffer with caller scratch —

@@ -54,7 +54,7 @@ fn assert_rv_close(a: &DiscreteRv, b: &DiscreteRv, tol: f64, what: &str) {
 }
 
 /// Cached (one shared context reused across every schedule) vs uncached
-/// (fresh context per call) evaluation for all four backends.
+/// (empty context per call) evaluation for all four backends.
 #[test]
 fn cached_matches_uncached_for_all_backends() {
     let (s, schedules) = case();
@@ -63,7 +63,7 @@ fn cached_matches_uncached_for_all_backends() {
         let mut shared = EvalContext::new(e.prepare(&s));
         for (k, sched) in schedules.iter().enumerate() {
             let cached = e.evaluate_with(&s, sched, &mut shared);
-            let uncached = e.evaluate(&s, sched);
+            let uncached = e.evaluate_with(&s, sched, &mut EvalContext::empty());
             assert_rv_close(&cached, &uncached, 1e-12, &format!("{name} schedule {k}"));
         }
     }
@@ -87,11 +87,11 @@ fn stale_context_falls_back_correctly() {
         // Prepared for `s`, then asked about scenarios it was not built for.
         let mut cx = EvalContext::new(e.prepare(&s));
         let via_stale = e.evaluate_with(&different_shape, &shape_sched, &mut cx);
-        let fresh = e.evaluate(&different_shape, &shape_sched);
+        let fresh = e.evaluate_with(&different_shape, &shape_sched, &mut EvalContext::empty());
         assert_rv_close(&via_stale, &fresh, 1e-12, &format!("{name} stale-shape"));
         for (k, sched) in schedules.iter().enumerate() {
             let via_stale = e.evaluate_with(&same_shape_other_ul, sched, &mut cx);
-            let fresh = e.evaluate(&same_shape_other_ul, sched);
+            let fresh = e.evaluate_with(&same_shape_other_ul, sched, &mut EvalContext::empty());
             assert_rv_close(
                 &via_stale,
                 &fresh,
@@ -103,7 +103,7 @@ fn stale_context_falls_back_correctly() {
         let back = e.evaluate_with(&s, &schedules[0], &mut cx);
         assert_rv_close(
             &back,
-            &e.evaluate(&s, &schedules[0]),
+            &e.evaluate_with(&s, &schedules[0], &mut EvalContext::empty()),
             1e-12,
             &format!("{name} back to prepared scenario"),
         );

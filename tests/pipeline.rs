@@ -1,8 +1,6 @@
 //! Integration: the full pipeline from generation to correlation matrices.
 
-#![allow(deprecated)] // pins the legacy run_case surface on purpose
-
-use robusched::core::{compute_metrics, run_case, MetricOptions, StudyConfig, METRIC_LABELS};
+use robusched::core::{compute_metrics, MetricOptions, StudyBuilder, METRIC_LABELS};
 use robusched::platform::Scenario;
 use robusched::sched::{bil, cpop, det_makespan, heft, hyb_bmct, random_schedule};
 use robusched::stochastic::evaluate_classic;
@@ -61,16 +59,15 @@ fn metrics_well_defined_for_many_random_schedules() {
 #[test]
 fn study_produces_full_matrix_and_heuristics() {
     let s = Scenario::paper_random(12, 3, 1.1, 77);
-    let res = run_case(
-        &s,
-        &StudyConfig {
-            random_schedules: 150,
-            seed: 5,
-            with_heuristics: true,
-            with_cpop: true,
-            ..Default::default()
-        },
-    );
+    let res = StudyBuilder::new(&s)
+        .random_schedules(150)
+        .seed(5)
+        .heuristics(&["HEFT", "BIL", "Hyb.BMCT", "CPOP"])
+        .buffer_metrics(true)
+        .run()
+        .unwrap()
+        .into_case()
+        .unwrap();
     assert_eq!(res.random.len(), 150);
     assert_eq!(res.heuristics.len(), 4);
     assert_eq!(res.pearson.dim(), METRIC_LABELS.len());

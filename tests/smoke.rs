@@ -6,23 +6,21 @@
 //! matrix — in a few seconds, so CI catches pipeline-level regressions
 //! immediately.
 
-#![allow(deprecated)] // pins the legacy run_case surface on purpose
-
-use robusched::core::{run_case, StudyConfig, METRIC_LABELS};
+use robusched::core::{StudyBuilder, METRIC_LABELS};
 use robusched::platform::Scenario;
 
 #[test]
 fn tiny_paper_random_case_end_to_end() {
     let s = Scenario::paper_random(10, 3, 1.1, 2024);
-    let res = run_case(
-        &s,
-        &StudyConfig {
-            random_schedules: 50,
-            seed: 7,
-            with_heuristics: true,
-            ..Default::default()
-        },
-    );
+    let res = StudyBuilder::new(&s)
+        .random_schedules(50)
+        .seed(7)
+        .heuristics(&["HEFT", "BIL", "Hyb.BMCT"])
+        .buffer_metrics(true)
+        .run()
+        .unwrap()
+        .into_case()
+        .unwrap();
 
     assert_eq!(res.random.len(), 50);
     assert!(!res.heuristics.is_empty());
