@@ -272,48 +272,7 @@ fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
                     "dot: undirected edge '--' at byte {i} (only digraphs are supported)"
                 )));
             }
-            b'"' => {
-                i += 1;
-                let mut s = String::new();
-                loop {
-                    match b.get(i) {
-                        None => {
-                            return Err(ParseError::new(
-                                "dot: unterminated quoted string".to_string(),
-                            ))
-                        }
-                        Some(b'"') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(b'\\') => {
-                            match b.get(i + 1) {
-                                Some(b'"') => s.push('"'),
-                                Some(b'\\') => s.push('\\'),
-                                Some(&c) if c.is_ascii() => {
-                                    // DOT keeps unknown escapes verbatim.
-                                    s.push('\\');
-                                    s.push(c as char);
-                                }
-                                _ => {
-                                    return Err(ParseError::new(
-                                        "dot: invalid escape in quoted string".to_string(),
-                                    ))
-                                }
-                            }
-                            i += 2;
-                        }
-                        Some(_) => {
-                            let tail = std::str::from_utf8(&b[i..])
-                                .map_err(|_| ParseError::new("dot: invalid UTF-8".to_string()))?;
-                            let ch = tail.chars().next().unwrap();
-                            s.push(ch);
-                            i += ch.len_utf8();
-                        }
-                    }
-                }
-                tokens.push(Token::Id(s));
-            }
+            b'"' => tokens.push(Token::Id(lex_quoted(b, &mut i)?)),
             c if c.is_ascii_alphanumeric() || matches!(c, b'_' | b'.' | b'-' | b'+') => {
                 let start = i;
                 while i < b.len()
@@ -333,6 +292,47 @@ fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
         }
     }
     Ok(tokens)
+}
+
+/// Lexes the quoted id opening at `b[*i]` and leaves `*i` past its
+/// closing quote. DOT unescapes only `\"` and `\\`; other ASCII escapes
+/// stay verbatim.
+fn lex_quoted(b: &[u8], i: &mut usize) -> Result<String, ParseError> {
+    *i += 1; // opening quote
+    let mut s = String::new();
+    loop {
+        match b.get(*i) {
+            None => {
+                return Err(ParseError::new(
+                    "dot: unterminated quoted string".to_string(),
+                ))
+            }
+            Some(b'"') => {
+                *i += 1;
+                return Ok(s);
+            }
+            Some(b'\\') => {
+                match b.get(*i + 1) {
+                    Some(b'"') => s.push('"'),
+                    Some(b'\\') => s.push('\\'),
+                    Some(&c) if c.is_ascii() => {
+                        s.push('\\');
+                        s.push(c as char);
+                    }
+                    _ => {
+                        return Err(ParseError::new(
+                            "dot: invalid escape in quoted string".to_string(),
+                        ))
+                    }
+                }
+                *i += 2;
+            }
+            Some(_) => s.push_str(
+                super::string_run(b, i)
+                    .map_err(|_| ParseError::new("dot: invalid UTF-8".to_string()))?,
+            ),
+        }
+    }
 }
 
 struct Parser<'a> {
@@ -455,6 +455,34 @@ mod tests {
         let t = parse_dot(r#"digraph "my graph" { "task \"one\"" [size="1"]; }"#, "t").unwrap();
         assert_eq!(t.name, "my graph");
         assert!(t.task_id("task \"one\"").is_some());
+    }
+
+    #[test]
+    fn multibyte_names_next_to_escapes_roundtrip() {
+        // 2-, 3- and 4-byte scalars on both sides of each escape.
+        let name = "é\\ü\"€\\😀\"x😀é";
+        let doc = format!("digraph g {{ \"{}\" [size=\"1\"]; }}", escape(name));
+        let t = parse_dot(&doc, "t").unwrap();
+        assert!(t.task_id(name).is_some());
+        let re = parse_dot(&write_dot(&t), "t").unwrap();
+        assert_eq!(re.task_name(0), name);
+    }
+
+    #[test]
+    fn truncated_multibyte_sequence_errors() {
+        for bad in [&b"\"a\xe2\x82"[..], b"\"\xf0\x9f\x98\"", b"\"\xc3"] {
+            assert!(lex_quoted(bad, &mut 0).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn megabyte_quoted_id_lexes_in_linear_time() {
+        let long = "é".repeat(1 << 19);
+        let doc = format!("digraph g {{ \"{long}\" [size=\"1\"]; }}");
+        let t0 = std::time::Instant::now();
+        let t = parse_dot(&doc, "t").unwrap();
+        assert!(t0.elapsed().as_secs_f64() < 1.0, "{:?}", t0.elapsed());
+        assert_eq!(t.task_name(0), long);
     }
 
     #[test]

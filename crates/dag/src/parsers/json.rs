@@ -211,11 +211,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy the full UTF-8 scalar starting here.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "invalid UTF-8".to_string())?;
-                let ch = s.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+                out.push_str(super::string_run(b, pos).map_err(|_| "invalid UTF-8".to_string())?)
             }
         }
     }
@@ -318,6 +314,33 @@ mod tests {
         assert!(parse_json(r#""truncated \u00"#).is_err());
         assert!(parse_json(r#""truncated \uZZZZ""#).is_err());
         assert!(parse_json("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn multibyte_scalars_next_to_escapes_roundtrip() {
+        // 2-, 3- and 4-byte scalars on both sides of each escape.
+        let doc = parse_json(r#""é\nü\"€\\😀\u00e9😀\té""#).unwrap();
+        assert_eq!(doc.as_str(), Some("é\nü\"€\\😀é😀\té"));
+        let mut out = String::new();
+        write_json(&doc, &mut out);
+        assert_eq!(parse_json(&out).unwrap(), doc);
+    }
+
+    #[test]
+    fn truncated_multibyte_sequence_errors() {
+        for bad in [&b"\"a\xe2\x82"[..], b"\"\xf0\x9f\x98\"", b"\"\xc3"] {
+            assert!(parse_string(bad, &mut 0).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn megabyte_string_parses_in_linear_time() {
+        let long = "é".repeat(1 << 19);
+        let doc = format!(r#"{{"k": "{long}"}}"#);
+        let t0 = std::time::Instant::now();
+        let parsed = parse_json(&doc).unwrap();
+        assert!(t0.elapsed().as_secs_f64() < 1.0, "{:?}", t0.elapsed());
+        assert_eq!(parsed.get("k").and_then(Json::as_str), Some(long.as_str()));
     }
 
     #[test]

@@ -53,6 +53,18 @@ pub const REF_BANDWIDTH: f64 = 1e9;
 /// edge volumes, keeping the trace's realized CCR invariant.
 pub const TARGET_MEAN_WORK: f64 = 20.0;
 
+/// The run of `b` from `*pos` up to the next `"` or `\\` (or the end),
+/// validated as UTF-8, with `*pos` moved past it. Both stop bytes are
+/// ASCII, so the run ends on a scalar boundary, and validating only the
+/// run keeps the quoted-string lexers linear in their input.
+fn string_run<'a>(b: &'a [u8], pos: &mut usize) -> Result<&'a str, std::str::Utf8Error> {
+    let start = *pos;
+    while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+        *pos += 1;
+    }
+    std::str::from_utf8(&b[start..*pos])
+}
+
 /// A trace-ingestion error: what went wrong and (where available) where.
 ///
 /// Deliberately a single-message type — callers either surface the message

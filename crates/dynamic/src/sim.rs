@@ -69,9 +69,10 @@ use rand::{RngCore, SeedableRng};
 use robusched_core::OnlineMetrics;
 use robusched_platform::Scenario;
 use robusched_randvar::{derive_seed, DEFAULT_GRID};
-use robusched_sched::{heuristic_by_name, EagerPlan, Schedule, ScheduleError};
+use robusched_sched::{heuristic_by_name, EagerPlan, Heuristic, Schedule, ScheduleError};
 use robusched_stochastic::{scenario_fingerprint, DiscretizedScenario, SamplingTables};
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
@@ -225,6 +226,41 @@ struct ScenarioState {
     /// Policy-query distributions; `None` when the policy doesn't need
     /// them (they cost a backward recursion per scenario).
     dists: Option<RemainingDists>,
+}
+
+/// The per-run map from arriving scenario to its [`ScenarioState`].
+///
+/// Arrivals repeat a handful of pool `Arc`s, so the state is found by
+/// `Arc` identity first. Each pointer entry holds a clone of its `Arc`,
+/// so no other scenario can reuse the address while the run lasts. A
+/// pointer not seen before hashes its scenario once and falls back to the
+/// fingerprint map, which lets content-equal but distinct `Arc`s share
+/// one state (and one `RemainingDists` build).
+#[derive(Default)]
+struct StateCache {
+    by_ptr: HashMap<*const Scenario, (Arc<Scenario>, Arc<ScenarioState>)>,
+    by_fingerprint: HashMap<u64, Arc<ScenarioState>>,
+}
+
+impl StateCache {
+    /// The state of `scenario`, built by `build` on the first arrival of
+    /// its content.
+    fn get_or_build(
+        &mut self,
+        scenario: &Arc<Scenario>,
+        build: impl FnOnce() -> Result<ScenarioState, SimError>,
+    ) -> Result<Arc<ScenarioState>, SimError> {
+        let ptr = Arc::as_ptr(scenario);
+        if let Some((_, state)) = self.by_ptr.get(&ptr) {
+            return Ok(state.clone());
+        }
+        let state = match self.by_fingerprint.entry(scenario_fingerprint(scenario)) {
+            Entry::Occupied(e) => e.get().clone(),
+            Entry::Vacant(e) => e.insert(Arc::new(build()?)).clone(),
+        };
+        self.by_ptr.insert(ptr, (scenario.clone(), state.clone()));
+        Ok(state)
+    }
 }
 
 struct Instance {
@@ -409,7 +445,7 @@ impl<'p> DynamicSim<'p> {
         let heuristic = heuristic_by_name(&self.config.heuristic)
             .ok_or_else(|| SimError::UnknownHeuristic(self.config.heuristic.clone()))?;
 
-        let mut states: HashMap<u64, Arc<ScenarioState>> = HashMap::new();
+        let mut states = StateCache::default();
         let mut instances: Vec<Instance> = Vec::new();
         let mut machines: Vec<Machine> = Vec::new();
         let mut heap: BinaryHeap<Reverse<Queued>> = BinaryHeap::new();
@@ -424,6 +460,8 @@ impl<'p> DynamicSim<'p> {
         // terminate.
         let mut live = 0usize;
         let mut faults = FaultTotals::default();
+        // Scratch list of the tasks a `Finish` event releases.
+        let mut newly_ready: Vec<usize> = Vec::new();
 
         let mut next_arrival = stream.next_arrival();
         loop {
@@ -481,45 +519,9 @@ impl<'p> DynamicSim<'p> {
                     });
                 }
 
-                let fp = scenario_fingerprint(&arrival.scenario);
-                let state = match states.get(&fp) {
-                    Some(s) => s.clone(),
-                    None => {
-                        let schedule = match &self.config.schedule {
-                            Some(s) => s.clone(),
-                            None => heuristic.schedule(&arrival.scenario)?,
-                        };
-                        let plan = EagerPlan::new(&arrival.scenario.graph.dag, &schedule)?;
-                        let det_makespan = plan
-                            .execute(
-                                &arrival.scenario.graph.dag,
-                                |v| arrival.scenario.det_task_cost(v, schedule.machine_of(v)),
-                                |e, u, v| {
-                                    arrival.scenario.det_comm_cost(
-                                        e,
-                                        schedule.machine_of(u),
-                                        schedule.machine_of(v),
-                                    )
-                                },
-                            )
-                            .makespan;
-                        let dists = self.policy.needs_distributions().then(|| {
-                            dist_builds += 1;
-                            let disc =
-                                DiscretizedScenario::new(&arrival.scenario, self.config.grid);
-                            RemainingDists::build(&arrival.scenario, &schedule, &plan, &disc)
-                        });
-                        let state = Arc::new(ScenarioState {
-                            schedule,
-                            plan,
-                            det_makespan,
-                            tables: SamplingTables::new(&arrival.scenario),
-                            dists,
-                        });
-                        states.insert(fp, state.clone());
-                        state
-                    }
-                };
+                let state = states.get_or_build(&arrival.scenario, || {
+                    self.build_state(heuristic.as_ref(), &arrival.scenario, &mut dist_builds)
+                })?;
 
                 let idx = instances.len();
                 let deadline = arrival.time + self.config.deadline_factor * state.det_makespan;
@@ -663,7 +665,6 @@ impl<'p> DynamicSim<'p> {
                         // task on the machine. Identical FP operations to
                         // EagerPlan::execute in the relative frame.
                         let dag = &i.scenario.graph.dag;
-                        let mut newly_ready: Vec<usize> = Vec::new();
                         for &(s, e) in dag.succs(task) {
                             let contrib = finish_rel + i.comm_dur[e];
                             if contrib > i.ready_rel[s] {
@@ -683,7 +684,7 @@ impl<'p> DynamicSim<'p> {
                                 newly_ready.push(w);
                             }
                         }
-                        for s in newly_ready {
+                        for s in newly_ready.drain(..) {
                             heap.push(Reverse(Queued {
                                 time: i.arrival + i.ready_rel[s],
                                 seq: post_inc(&mut seq),
@@ -858,6 +859,41 @@ impl<'p> DynamicSim<'p> {
             faults,
             dist_builds,
         ))
+    }
+
+    /// Builds the shared state of a scenario's first arrival: schedule,
+    /// eager plan, deterministic makespan, sampling tables and (when the
+    /// policy queries them) the remaining-time distributions.
+    fn build_state(
+        &self,
+        heuristic: &dyn Heuristic,
+        scenario: &Scenario,
+        dist_builds: &mut usize,
+    ) -> Result<ScenarioState, SimError> {
+        let schedule = match &self.config.schedule {
+            Some(s) => s.clone(),
+            None => heuristic.schedule(scenario)?,
+        };
+        let plan = EagerPlan::new(&scenario.graph.dag, &schedule)?;
+        let det_makespan = plan
+            .execute(
+                &scenario.graph.dag,
+                |v| scenario.det_task_cost(v, schedule.machine_of(v)),
+                |e, u, v| scenario.det_comm_cost(e, schedule.machine_of(u), schedule.machine_of(v)),
+            )
+            .makespan;
+        let dists = self.policy.needs_distributions().then(|| {
+            *dist_builds += 1;
+            let disc = DiscretizedScenario::new(scenario, self.config.grid);
+            RemainingDists::build(scenario, &schedule, &plan, &disc)
+        });
+        Ok(ScenarioState {
+            schedule,
+            plan,
+            det_makespan,
+            tables: SamplingTables::new(scenario),
+            dists,
+        })
     }
 
     /// Builds the per-instance state: deadline, sampled durations, eager

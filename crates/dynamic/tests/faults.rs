@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use robusched_dynamic::{
-    fault_by_spec, policy_by_spec, recovery_by_spec, Abandon, Arrival, DynamicSim, NeverDrop,
-    NoFaults, PoissonStream, ReplayStream, SimConfig, SimResult,
+    fault_by_spec, policy_by_spec, recovery_by_spec, Abandon, Arrival, ArrivalStream, DynamicSim,
+    NeverDrop, NoFaults, PoissonStream, ReplayStream, SimConfig, SimResult,
 };
 use robusched_platform::Scenario;
 use std::sync::Arc;
@@ -255,4 +255,35 @@ fn schedule_override_matches_heuristic_schedule() {
         ..SimConfig::default()
     });
     assert_bit_identical(&by_name, &by_override);
+}
+
+/// Content-equal but distinct scenario `Arc`s share one cached state: a
+/// stream whose every arrival carries a fresh copy of its scenario runs
+/// bit-identically to the same stream over the shared pool `Arc`s, and
+/// still builds one distribution table per distinct scenario.
+#[test]
+fn content_equal_arcs_share_one_state() {
+    let workloads = pool(&[41, 42], 10, 3);
+    let mut poisson = PoissonStream::new(workloads.clone(), 0.4, 40, 9);
+    let shared: Vec<Arrival> = std::iter::from_fn(|| poisson.next_arrival()).collect();
+    let copied: Vec<Arrival> = shared
+        .iter()
+        .map(|a| Arrival {
+            time: a.time,
+            scenario: Arc::new((*a.scenario).clone()),
+        })
+        .collect();
+    for spec in ["prune@0.5", "gate@0.5"] {
+        let policy = policy_by_spec(spec).unwrap();
+        let run = |arrivals: Vec<Arrival>| {
+            DynamicSim::new(policy.as_ref(), SimConfig::default())
+                .run(&mut ReplayStream::new(arrivals))
+                .unwrap()
+        };
+        let by_ptr = run(shared.clone());
+        let by_content = run(copied.clone());
+        assert_eq!(by_ptr.dist_builds, workloads.len(), "{spec}");
+        assert_eq!(by_content.dist_builds, workloads.len(), "{spec}");
+        assert_bit_identical(&by_ptr, &by_content);
+    }
 }

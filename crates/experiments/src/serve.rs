@@ -20,6 +20,9 @@
 //!  "metrics": ["expected_makespan", "makespan_std"]}
 //! ```
 //!
+//! Sizes are capped so that no request can exhaust the server: at most
+//! 1000 tasks (for `app`, the class's task count) and `m` at most 16.
+//!
 //! Scenario families: `paper-random` (the paper's layered random DAGs),
 //! `app` (structured applications: `"class"` ∈ cholesky, lu, fft, stencil,
 //! forkjoin, plus `"speed_cov"`), and `trace` (a committed sample workflow
@@ -117,6 +120,20 @@ fn metric_field(metrics: &MetricValues, name: &str) -> Option<f64> {
     })
 }
 
+// Every size a request names is capped, so no single line can exhaust
+// the server's memory or overflow a closed-form count.
+
+/// Hard cap on a scenario's task count: fig1's largest case.
+const SERVE_MAX_TASKS: usize = 1000;
+
+/// Hard cap on `scenario.m`: the largest platform in the paper. At both
+/// caps one prepared entry still holds e·m² ≈ 3000·256 comm slots.
+const SERVE_MAX_MACHINES: usize = 16;
+
+/// Hard cap on `dynamic.instances` — the simulation runs synchronously on
+/// the reader thread, so one request must stay small.
+const DYNAMIC_MAX_INSTANCES: usize = 2000;
+
 /// Interns scenarios by their canonical spec so repeated requests share
 /// one `Arc<Scenario>` (and one fingerprint-cache entry downstream).
 #[derive(Default)]
@@ -133,8 +150,8 @@ impl ScenarioInterner {
         let m = spec
             .get("m")
             .and_then(Json::as_usize)
-            .filter(|&m| m >= 1)
-            .ok_or("scenario.m must be a positive integer")?;
+            .filter(|m| (1..=SERVE_MAX_MACHINES).contains(m))
+            .ok_or_else(|| format!("scenario.m must be an integer in 1..={SERVE_MAX_MACHINES}"))?;
         let ul = spec
             .get("ul")
             .and_then(Json::as_f64)
@@ -149,8 +166,8 @@ impl ScenarioInterner {
         let parse_n = || {
             spec.get("n")
                 .and_then(Json::as_usize)
-                .filter(|&n| n >= 1)
-                .ok_or("scenario.n must be a positive integer")
+                .filter(|n| (1..=SERVE_MAX_TASKS).contains(n))
+                .ok_or_else(|| format!("scenario.n must be an integer in 1..={SERVE_MAX_TASKS}"))
         };
         let parse_speed_cov = || {
             spec.get("speed_cov")
@@ -175,6 +192,15 @@ impl ScenarioInterner {
                     .into_iter()
                     .find(|c| c.name() == class_name)
                     .ok_or_else(|| format!("unknown application class '{class_name}'"))?;
+                // `n` is capped first, so the closed-form count cannot
+                // overflow; every class has at least `n` tasks.
+                let tasks = class.task_count(n);
+                if tasks > SERVE_MAX_TASKS {
+                    return Err(format!(
+                        "'{class_name}' with n = {n} has {tasks} tasks \
+                         (at most {SERVE_MAX_TASKS} are served)"
+                    ));
+                }
                 let speed_cov = parse_speed_cov()?;
                 key = format!(
                     "app/{}/{n}/{m}/{}/{}/{seed}",
@@ -249,10 +275,6 @@ fn resolve_schedule(spec: &Json, scenario: &Scenario) -> Result<Schedule, String
 // ---------------------------------------------------------------------------
 // The `dynamic` request family: synchronous online simulations
 // ---------------------------------------------------------------------------
-
-/// Hard cap on `dynamic.instances` — the simulation runs synchronously on
-/// the reader thread, so one request must stay small.
-const DYNAMIC_MAX_INSTANCES: usize = 2000;
 
 /// Lazily built state shared by every `dynamic` request of one serve
 /// session: the `ext-dynamic` workload pool and its capacity calibration.
@@ -832,6 +854,41 @@ mod tests {
         assert_eq!(lines[3].get("ok"), Some(&Json::Bool(false)));
         // Same spec, same answer: the simulation is deterministic.
         assert_eq!(lines[4].get("dynamic"), lines[0].get("dynamic"));
+    }
+
+    #[test]
+    fn oversized_scenarios_error_in_stream() {
+        let valid = r#"{"id": 9, "scenario": {"family": "paper-random", "n": 10, "m": 3, "ul": 1.1, "seed": 5}, "schedule": {"kind": "heuristic", "name": "heft"}, "metrics": ["expected_makespan"]}"#;
+        let input = [
+            r#"{"id": 1, "scenario": {"family": "paper-random", "n": 1000000000, "m": 3, "ul": 1.1, "seed": 5}, "schedule": {"kind": "heuristic", "name": "heft"}}"#,
+            r#"{"id": 2, "scenario": {"family": "paper-random", "n": 10, "m": 1000000, "ul": 1.1, "seed": 5}, "schedule": {"kind": "heuristic", "name": "heft"}}"#,
+            r#"{"id": 3, "scenario": {"family": "app", "class": "lu", "n": 1000000, "m": 3, "speed_cov": 0.3, "ul": 1.1, "seed": 5}, "schedule": {"kind": "random", "seed": 1}}"#,
+            r#"{"id": 4, "scenario": {"family": "app", "class": "fft", "n": 1000000, "m": 3, "speed_cov": 0.3, "ul": 1.1, "seed": 5}, "schedule": {"kind": "random", "seed": 1}}"#,
+            r#"{"id": 5, "scenario": {"family": "app", "class": "lu", "n": 20, "m": 3, "speed_cov": 0.3, "ul": 1.1, "seed": 5}, "schedule": {"kind": "random", "seed": 1}}"#,
+            valid,
+        ]
+        .join("\n");
+        let mut output = Vec::new();
+        let opts = RunOptions {
+            threads: Some(2),
+            out_dir: None,
+            ..Default::default()
+        };
+        serve_streams(input.as_bytes(), &mut output, &opts).unwrap();
+        let lines: Vec<Json> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(|l| parse_json(l).unwrap())
+            .collect();
+        assert_eq!(lines.len(), 6);
+        for line in &lines[..5] {
+            assert_eq!(line.get("ok"), Some(&Json::Bool(false)), "{line:?}");
+        }
+        // LU at n = 20 passes the `n` cap but has 2870 tasks.
+        let lu_error = lines[4].get("error").and_then(Json::as_str).unwrap();
+        assert!(lu_error.contains("2870 tasks"), "{lu_error}");
+        assert_eq!(lines[5].get("id").unwrap().as_f64(), Some(9.0));
+        assert_eq!(lines[5].get("ok"), Some(&Json::Bool(true)));
     }
 
     #[test]

@@ -32,7 +32,9 @@ use std::sync::{Arc, OnceLock};
 /// prepared state — a [`DiscretizedScenario`], [`SamplingTables`], or a
 /// service-level cache entry keyed on this value — built for one is valid
 /// for the other. ~`n·m + e + 2m²` hash steps — a few µs, amortized over a
-/// ~ms evaluation.
+/// ~ms evaluation. Callers that look a scenario up once per small unit of
+/// work (the online executor, per arrival) find it by `Arc` identity
+/// first and hash only a pointer they have not seen.
 ///
 /// This is the cache key of `robusched-core`'s `EvalService`: requests
 /// whose scenarios hash equal share one prepared-state entry, so repeated
